@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from atmod.analysis import (POSTULATES, InexecLawFinding, StaticLawFinding,
                             Verdict, check_postulate, check_postulates,
                             implicit_inexec_laws, implicit_static_laws,
-                            pdl_entails_exec, pdl_entails_inexec)
+                            pdl_covers)
 from atmod.errors import (AtmodError, ParseError, ResourceLimitError,
                           TheoryError)
 from atmod.formulas import (FALSE, TRUE, And, Atom, Bot, Formula, Iff, Imp,
@@ -41,7 +41,7 @@ __all__ = [
     "entails_dep", "entails_pdl", "enumerate_countermodel",
     "format_formula", "format_theory", "implicit_inexec_laws",
     "implicit_static_laws", "load_theory", "model_to_dot", "model_to_json",
-    "parse_formula", "parse_query", "parse_theory", "pdl_entails_exec",
-    "pdl_entails_inexec", "prune_fixpoint", "render_json", "render_text",
+    "parse_formula", "parse_query", "parse_theory", "pdl_covers",
+    "prune_fixpoint", "render_json", "render_text",
     "suggest_repairs", "validate",
 ]

@@ -116,18 +116,15 @@ def implicit_static_laws(theory, action, newcons_base="fixed"):
         caught += step
 
 
-def pdl_entails_inexec(statics, inexecs, phi):
-    """Whether phi -> [a]false follows from the static and
-    inexecutability laws alone."""
-    return not engine.satisfiable(
-        list(statics) + [phi] + [Not(law.pre) for law in inexecs])
+def pdl_covers(statics, laws, phi):
+    """Whether statics & phi entail the precondition of some law.
 
-
-def pdl_entails_exec(statics, execs, phi):
-    """Whether phi -> <a>true follows from the static and executability
-    laws alone."""
+    For inexecutability laws of an action this decides whether
+    phi -> [a]false follows from the static and inexecutability laws
+    alone; for executability laws, whether phi -> <a>true follows from
+    the static and executability laws alone."""
     return not engine.satisfiable(
-        list(statics) + [phi] + [Not(law.pre) for law in execs])
+        list(statics) + [phi] + [Not(law.pre) for law in laws])
 
 
 def implicit_inexec_laws(theory, action):
@@ -158,7 +155,7 @@ def implicit_inexec_laws(theory, action):
                 pre = simplify(And(pre_c, negated_clause_formula(chi)))
                 if pre in seen:
                     continue
-                if pdl_entails_inexec(statics, inexecs, pre):
+                if pdl_covers(statics, inexecs, pre):
                     continue
                 seen.add(pre)
                 findings.append(InexecLawFinding(

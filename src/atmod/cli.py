@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 violations or non-entailment found, 2 parse or
-theory error, 3 a resource guard was hit.
+theory error, 3 a resource guard was hit or a formula nests deeper than
+the recursive parser and CNF conversion can follow.
 """
 
 import argparse
@@ -205,6 +206,10 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: formula nested too deeply (Python recursion limit "
+              "is %d)" % sys.getrecursionlimit(), file=sys.stderr)
         return 3
     except (AtmodError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

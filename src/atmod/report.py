@@ -10,8 +10,7 @@ import json
 from dataclasses import dataclass
 
 from atmod import engine, kernels, semantics
-from atmod.analysis import (StaticLawFinding, check_postulates,
-                            pdl_entails_inexec)
+from atmod.analysis import StaticLawFinding, check_postulates, pdl_covers
 from atmod.formulas import FALSE, clause_formula
 from atmod.repairs import suggest_repairs
 from atmod.theory import BoxQuery, ClassicalQuery
@@ -44,9 +43,9 @@ def _confirm(theory, finding):
         explicit = engine.entails(theory.static_formulas(), finding.formula)
     else:
         query = BoxQuery(finding.action, finding.law.pre, FALSE)
-        explicit = pdl_entails_inexec(theory.static_formulas(),
-                                      theory.inexecs_for(finding.action),
-                                      finding.law.pre)
+        explicit = pdl_covers(theory.static_formulas(),
+                              theory.inexecs_for(finding.action),
+                              finding.law.pre)
     return semantics.entails_dep(sub, query) and not explicit
 
 

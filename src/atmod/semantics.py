@@ -151,28 +151,43 @@ def satisfies(model, theory):
 
 # -- entailment ---------------------------------------------------------------
 
-def _holds_query(theory, model, query, index):
+def _refutes(theory, model, query, index):
+    """The model itself (possibly with edges removed) if it refutes the
+    query, else None."""
     if isinstance(query, ClassicalQuery):
-        return all(eval_mask(query.formula, v, index) for v in model.worlds)
+        if any(not eval_mask(query.formula, v, index) for v in model.worlds):
+            return model
+        return None
     if isinstance(query, BoxQuery):
-        return all(not eval_mask(query.pre, v, index)
-                   or eval_mask(query.post, w, index)
-                   for v, w in model.relation.get(query.action, ()))
+        bad = any(eval_mask(query.pre, v, index)
+                  and not eval_mask(query.post, w, index)
+                  for v, w in model.relation.get(query.action, ()))
+        return model if bad else None
     if isinstance(query, DiamondQuery):
         # In the pruned model a world has an a-successor exactly when some
         # executability law for a applies there: an edge not forced by an
         # executability law can always be dropped from some model.
         execs = theory.execs_for(query.action)
-        return all(not eval_mask(query.pre, v, index)
-                   or any(eval_mask(law.pre, v, index) for law in execs)
-                   for v in model.worlds)
+        witnesses = {v for v in model.worlds
+                     if eval_mask(query.pre, v, index)
+                     and not any(eval_mask(law.pre, v, index)
+                                 for law in execs)}
+        if not witnesses:
+            return None
+        # Drop the optional outgoing edges at the witnesses so that the
+        # returned model visibly refutes the diamond.
+        relation = dict(model.relation)
+        relation[query.action] = tuple(
+            (v, w) for v, w in relation.get(query.action, ())
+            if v not in witnesses)
+        return KripkeModel(model.fluents, model.worlds, relation)
     raise TypeError("not a query: %r" % (query,))
 
 
 def entails_dep(theory, query):
     """Entailment over all models of the theory respecting its dependence."""
     index = {f: i for i, f in enumerate(theory.fluents)}
-    return _holds_query(theory, prune_fixpoint(theory), query, index)
+    return _refutes(theory, prune_fixpoint(theory), query, index) is None
 
 
 def entails_pdl(theory, query):
@@ -227,36 +242,6 @@ def _subset_model(theory, subset, chosen, edges):
                          for w in edges[a][v] if w in chosen)
                 for a in theory.actions}
     return KripkeModel(theory.fluents, tuple(sorted(subset)), relation)
-
-
-def _refutes(theory, model, query, index):
-    """The model itself (possibly with edges removed) if it refutes the
-    query, else None."""
-    if isinstance(query, ClassicalQuery):
-        if any(not eval_mask(query.formula, v, index) for v in model.worlds):
-            return model
-        return None
-    if isinstance(query, BoxQuery):
-        bad = any(eval_mask(query.pre, v, index)
-                  and not eval_mask(query.post, w, index)
-                  for v, w in model.relation.get(query.action, ()))
-        return model if bad else None
-    if isinstance(query, DiamondQuery):
-        execs = theory.execs_for(query.action)
-        witnesses = {v for v in model.worlds
-                     if eval_mask(query.pre, v, index)
-                     and not any(eval_mask(law.pre, v, index)
-                                 for law in execs)}
-        if not witnesses:
-            return None
-        # Drop the optional outgoing edges at the witnesses so that the
-        # returned model visibly refutes the diamond.
-        relation = dict(model.relation)
-        relation[query.action] = tuple(
-            (v, w) for v, w in relation.get(query.action, ())
-            if v not in witnesses)
-        return KripkeModel(model.fluents, model.worlds, relation)
-    raise TypeError("not a query: %r" % (query,))
 
 
 # -- export -------------------------------------------------------------------

@@ -53,9 +53,9 @@ def test_criterion_2_implicit_inexecutability_laws(theory):
     raw = analysis.implicit_inexec_laws(hidden, "a")
     oracle = semantics.entails_dep(
         hidden, BoxQuery("a", parse_formula("p1"), FALSE))
-    pdl = analysis.pdl_entails_inexec(hidden.static_formulas(),
-                                      [f.law for f in raw],
-                                      parse_formula("p1"))
+    pdl = analysis.pdl_covers(hidden.static_formulas(),
+                              [f.law for f in raw],
+                              parse_formula("p1"))
     elapsed = time.perf_counter() - start
     ok = t2 == {"~alive -> [tease]false"} \
         and coffee == {"sugar & salt -> [drink]false"} \

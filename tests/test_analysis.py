@@ -75,23 +75,23 @@ def test_implicit_inexec_findings_are_sound(theory):
                 sub = t.for_action(action)
                 assert semantics.entails_dep(
                     sub, BoxQuery(action, f.law.pre, FALSE))
-                assert not analysis.pdl_entails_inexec(
+                assert not analysis.pdl_covers(
                     t.static_formulas(), t.inexecs_for(action), f.law.pre)
 
 
 def test_pdl_entailment_reductions(theory):
     t = theory("t1")
     statics = t.static_formulas()
-    assert analysis.pdl_entails_inexec(statics, t.inexecs_for("tease"),
-                                       parse_formula("~alive"))
-    assert analysis.pdl_entails_inexec(statics, t.inexecs_for("tease"),
-                                       parse_formula("~alive & walking"))
-    assert not analysis.pdl_entails_inexec(statics, t.inexecs_for("tease"),
-                                           parse_formula("walking"))
-    assert analysis.pdl_entails_exec(statics, t.execs_for("shoot"),
-                                     parse_formula("hasGun & loaded"))
-    assert not analysis.pdl_entails_exec(statics, t.execs_for("shoot"),
-                                         parse_formula("loaded"))
+    assert analysis.pdl_covers(statics, t.inexecs_for("tease"),
+                               parse_formula("~alive"))
+    assert analysis.pdl_covers(statics, t.inexecs_for("tease"),
+                               parse_formula("~alive & walking"))
+    assert not analysis.pdl_covers(statics, t.inexecs_for("tease"),
+                                   parse_formula("walking"))
+    assert analysis.pdl_covers(statics, t.execs_for("shoot"),
+                               parse_formula("hasGun & loaded"))
+    assert not analysis.pdl_covers(statics, t.execs_for("shoot"),
+                                   parse_formula("loaded"))
 
 
 def test_postulates_t1(theory):

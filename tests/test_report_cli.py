@@ -173,3 +173,16 @@ def test_cli_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("ATMOD_MAX_ATOMS", "2")
     code, _, err = run(capsys, "check", fixture_path("t1"))
     assert code == 3
+
+
+def test_cli_deep_nesting_is_a_resource_error(capsys, tmp_path):
+    laws = ["~" * 4000 + "p", " & ".join(["p"] * 3000)]
+    for i, law in enumerate(laws):
+        path = tmp_path / ("deep%d.at" % i)
+        path.write_text("theory deep {\n  fluents p;\n  actions a;\n"
+                        "  static { %s; }\n"
+                        "  action a { executable true; }\n}\n" % law)
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
