@@ -7,6 +7,7 @@ and so on.  This module finds the offending implicit laws and decides
 the associated postulates against the possible-worlds semantics.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from atmod import engine, semantics
 from atmod.errors import ResourceLimitError
 from atmod.formulas import (FALSE, And, Not, conj,
                             negated_clause_formula, simplify)
-from atmod.theory import BoxQuery, InexecutabilityLaw
+from atmod.theory import InexecutabilityLaw
 
 MAX_CONSEQUENCE_LAWS = 16
 
@@ -189,104 +190,115 @@ def _world_name(theory, mask):
     return "{%s}" % ", ".join(true)
 
 
-def check_postulate(theory, postulate, action=None, newcons_base="fixed"):
-    """Decide one postulate, for one action or (starred forms) for all."""
+# One action's sub-theory, its pruned model and that model's worlds, its
+# sorted static-law worlds, and the worlds where the action has a successor.
+_ActionFacts = namedtuple("_ActionFacts",
+                          "sub model alive statics executable")
+
+
+class _Facts:
+    """What the postulates of one theory read, each computed once: the
+    facts of each action, on first use, and every verdict decided, keyed
+    by (postulate, action)."""
+
+    def __init__(self, theory, newcons_base="fixed"):
+        self.theory = theory
+        self.newcons_base = newcons_base
+        self.index = {f: i for i, f in enumerate(theory.fluents)}
+        self._actions = {}
+        self._verdicts = {}
+
+    def of(self, action):
+        if action not in self._actions:
+            sub = self.theory.for_action(action)
+            model = semantics.prune_fixpoint(sub)
+            self._actions[action] = _ActionFacts(
+                sub, model, frozenset(model.worlds),
+                semantics.static_worlds(sub),
+                frozenset(v for v, _ in model.relation.get(action, ())))
+        return self._actions[action]
+
+    def verdict(self, postulate, action):
+        key = (postulate, action)
+        if key not in self._verdicts:
+            self._verdicts[key] = _decide(self, postulate, action)
+        return self._verdicts[key]
+
+
+def _world_check(facts, postulate, action, worlds, offends, laws, message,
+                 findings=()):
+    """Fail at the first world that offends and where no law of laws
+    applies, naming it in message; pass if there is none."""
+    for v in worlds:
+        if offends(v) and not any(
+                semantics.eval_mask(law.pre, v, facts.index) for law in laws):
+            return Verdict(postulate, action, "fail", findings,
+                           detail=message % _world_name(facts.theory, v))
+    return Verdict(postulate, action, "pass", findings)
+
+
+def _decide(facts, postulate, action):
     if postulate in _STARRED:
-        parts = [check_postulate(theory, _STARRED[postulate], a,
-                                 newcons_base) for a in theory.actions]
-        status = "pass"
-        for part in parts:
-            if part.status != "pass":
-                status = part.status
-                break
+        parts = [facts.verdict(_STARRED[postulate], a)
+                 for a in facts.theory.actions]
+        status = next((p.status for p in parts if p.status != "pass"),
+                      "pass")
         findings = tuple(f for part in parts for f in part.findings)
         detail = "; ".join("%s: %s" % (p.action, p.detail)
                            for p in parts if p.detail)
         return Verdict(postulate, None, status, findings, detail)
-    if postulate not in POSTULATES:
-        raise ValueError("unknown postulate %r" % postulate)
-    if action is None:
-        raise ValueError("postulate %s needs an action" % postulate)
 
-    sub = theory.for_action(action)
-    frame = semantics.prune_fixpoint(sub)
-    index = {f: i for i, f in enumerate(theory.fluents)}
-    statics = semantics.static_worlds(sub)
-    alive = set(frame.worlds)
-    succ = {}
-    for v, w in frame.relation.get(action, ()):
-        succ.setdefault(v, set()).add(w)
-    execs = sub.execs_for(action)
-    inexecs = sub.inexecs_for(action)
-
-    def covered(laws, v):
-        return any(semantics.eval_mask(law.pre, v, index) for law in laws)
+    f = facts.of(action)
+    execs = f.sub.execs_for(action)
+    inexecs = f.sub.inexecs_for(action)
 
     if postulate == "PC":
-        if alive:
+        if f.alive:
             return Verdict(postulate, action, "pass")
         return Verdict(postulate, action, "fail",
                        detail="no world survives pruning")
 
     if postulate == "PS":
-        findings = tuple(implicit_static_laws(sub, action, newcons_base))
-        if set(statics) == alive:
-            return Verdict(postulate, action, "pass", findings)
-        lost = next(v for v in statics if v not in alive)
-        return Verdict(postulate, action, "fail", findings,
-                       detail="world %s satisfies the static laws but "
-                       "survives in no model" % _world_name(theory, lost))
+        findings = tuple(implicit_static_laws(f.sub, action,
+                                              facts.newcons_base))
+        return _world_check(facts, postulate, action, f.statics,
+                            lambda v: v not in f.alive, (),
+                            "world %s satisfies the static laws but "
+                            "survives in no model", findings)
 
-    if postulate == "PI":
-        ps = check_postulate(theory, "PS", action, newcons_base)
-        if not ps.ok:
-            return Verdict(postulate, action, "blocked-by-PS",
-                           detail="not meaningful while PS fails for %r"
-                           % action)
-        findings = tuple(implicit_inexec_laws(sub, action))
-        bad = [v for v in statics
-               if (v not in alive or not succ.get(v))
-               and not covered(inexecs, v)]
-        if not bad:
-            return Verdict(postulate, action, "pass", findings)
-        return Verdict(postulate, action, "fail", findings,
-                       detail="the action is inexecutable at %s but no "
-                       "inexecutability law covers it"
-                       % _world_name(theory, bad[0]))
-
-    if postulate == "PI'":
-        bad = [v for v in sorted(alive)
-               if not succ.get(v) and not covered(inexecs, v)]
-        if not bad:
-            return Verdict(postulate, action, "pass")
-        return Verdict(postulate, action, "fail",
-                       detail="the action is inexecutable at %s but no "
-                       "inexecutability law covers it"
-                       % _world_name(theory, bad[0]))
+    if postulate in ("PI", "PI'"):
+        findings = ()
+        if postulate == "PI":
+            if not facts.verdict("PS", action).ok:
+                return Verdict(postulate, action, "blocked-by-PS",
+                               detail="not meaningful while PS fails for %r"
+                               % action)
+            findings = tuple(implicit_inexec_laws(f.sub, action))
+        # PI checks every static-law world, but past PS those are exactly
+        # the worlds of the pruned model, which PI' checks.
+        return _world_check(facts, postulate, action, f.model.worlds,
+                            lambda v: v not in f.executable, inexecs,
+                            "the action is inexecutable at %s but no "
+                            "inexecutability law covers it", findings)
 
     if postulate == "PX":
-        bad = [v for v in statics
-               if v not in alive and not covered(execs, v)]
-        if not bad:
-            return Verdict(postulate, action, "pass")
-        return Verdict(postulate, action, "fail",
-                       detail="executability of the action at %s is "
-                       "implicit: no executability law covers it"
-                       % _world_name(theory, bad[0]))
+        return _world_check(facts, postulate, action, f.statics,
+                            lambda v: v not in f.alive, execs,
+                            "executability of the action at %s is "
+                            "implicit: no executability law covers it")
 
     if postulate == "PX+":
-        bad = [v for v in sorted(alive)
-               if succ.get(v) and not covered(execs, v)]
-        if not bad:
-            return Verdict(postulate, action, "pass")
-        return Verdict(postulate, action, "fail",
-                       detail="the action is executable at %s but no "
-                       "executability law covers it"
-                       % _world_name(theory, bad[0]))
+        return _world_check(facts, postulate, action, f.model.worlds,
+                            lambda v: v in f.executable, execs,
+                            "the action is executable at %s but no "
+                            "executability law covers it")
 
     if postulate == "P-bot":
-        for law in sub.effects_for(action):
-            if semantics.entails_dep(sub, BoxQuery(action, law.pre, FALSE)):
+        # pre -> [a]false is entailed exactly when no edge of the pruned
+        # model leaves a world where pre holds.
+        for law in f.sub.effects_for(action):
+            if not any(semantics.eval_mask(law.pre, v, facts.index)
+                       for v in f.executable):
                 return Verdict(postulate, action, "fail",
                                detail="effect law %s only applies where "
                                "the action cannot occur" % law)
@@ -295,17 +307,35 @@ def check_postulate(theory, postulate, action=None, newcons_base="fixed"):
     raise AssertionError("unreachable")
 
 
-def check_postulates(theory, postulates=None, newcons_base="fixed"):
-    """Verdicts for the requested postulates, in a deterministic order."""
+def check_postulate(theory, postulate, action=None, newcons_base="fixed",
+                    facts=None):
+    """Decide one postulate, for one action or (starred forms) for all,
+    reading and filling a record of shared facts (default: a fresh one)."""
+    if postulate not in POSTULATES:
+        raise ValueError("unknown postulate %r" % postulate)
+    if postulate in _STARRED:
+        action = None
+    elif action is None:
+        raise ValueError("postulate %s needs an action" % postulate)
+    if facts is None:
+        facts = _Facts(theory, newcons_base)
+    elif facts.theory is not theory or facts.newcons_base != newcons_base:
+        raise ValueError("facts were made for another theory or base")
+    return facts.verdict(postulate, action)
+
+
+def check_postulates(theory, postulates=None, newcons_base="fixed",
+                     facts=None):
+    """Verdicts for the requested postulates, in a deterministic order,
+    all read from one record of shared facts (default: a fresh one)."""
     if postulates is None:
         postulates = POSTULATES
+    if facts is None:
+        facts = _Facts(theory, newcons_base)
     out = []
     for postulate in postulates:
-        if postulate in _STARRED:
-            out.append(check_postulate(theory, postulate,
-                                       newcons_base=newcons_base))
-        else:
-            for action in theory.actions:
-                out.append(check_postulate(theory, postulate, action,
-                                           newcons_base))
+        actions = (None,) if postulate in _STARRED else theory.actions
+        for action in actions:
+            out.append(check_postulate(theory, postulate, action,
+                                       newcons_base, facts))
     return tuple(out)

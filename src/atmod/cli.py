@@ -177,9 +177,10 @@ def _crosscheck_queries(theory):
 
 def _cmd_crosscheck(args):
     theory = _load(args.file)
+    pruned = semantics.prune_fixpoint(theory)
     failures = 0
     for label, query in _crosscheck_queries(theory):
-        entailed = semantics.entails_dep(theory, query)
+        entailed = semantics.pruned_entails(theory, pruned, query)
         counter = semantics.enumerate_countermodel(theory, query,
                                                    args.bound)
         if entailed and counter is not None:

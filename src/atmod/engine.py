@@ -86,18 +86,6 @@ def model_masks(formulas, universe):
     return kernels.enum_models(masks, len(universe))
 
 
-def valuations_of(formulas, atoms=None):
-    """Satisfying valuations as dicts over the given (or inferred) atoms."""
-    formulas = list(formulas)
-    universe = tuple(sorted(atoms)) if atoms is not None \
-        else universe_of(formulas)
-    extraneous = set().union(*(atoms_of(f) for f in formulas), set())
-    if not extraneous <= set(universe):
-        raise ValueError("formulas mention atoms outside the universe")
-    return [{a: bool(mask >> i & 1) for i, a in enumerate(universe)}
-            for mask in model_masks(formulas, universe)]
-
-
 def prime_implicates(formulas):
     """Prime implicates of a conjunctively read set of formulas.
 

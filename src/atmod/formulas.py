@@ -462,12 +462,3 @@ def cnf_clauses(formula):
             out.add(canonical_clause(c))
     return sort_clauses(out)
 
-
-def to_cnf(formula):
-    """Canonical clause set of a formula; unsatisfiable input gives {()}."""
-    from atmod import engine
-
-    clauses = cnf_clauses(formula)
-    if clauses and not engine.satisfiable([formula]):
-        return ((),)
-    return clauses

@@ -6,6 +6,8 @@ integers, so the universe has no fixed width; engine.max_atoms is the
 only bound.
 """
 
+from collections import deque
+
 # Written to "oracle.backend" by report.render_json; the atmod/1 JSON is
 # frozen byte-for-byte, and the benchmark reads this name too.
 BACKEND = "pykernels"
@@ -71,11 +73,11 @@ def saturate(clauses):
     Input and output clauses are (pos, neg) mask pairs; tautologies are
     discarded.  The result is sorted and mutually non-subsuming.
     """
-    queue = sorted({(p, n) for p, n in clauses if not (p & n)},
-                   key=lambda c: (c[0] | c[1]).bit_count())
+    queue = deque(sorted({(p, n) for p, n in clauses if not (p & n)},
+                         key=lambda c: (c[0] | c[1]).bit_count()))
     kept = []
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         if any(_subsumes(k, c) for k in kept):
             continue
         kept = [k for k in kept if not _subsumes(c, k)]

@@ -53,40 +53,26 @@ class AddDependence:
                        | {(self.action, self.literal)})
 
 
+# law type -> (theory field holding such laws, the law's kind in words)
+_LAW_FIELDS = {ExecutabilityLaw: ("execs", "executability law"),
+               EffectLaw: ("effects", "effect law"),
+               InexecutabilityLaw: ("inexecs", "inexecutability law")}
+
+
 @dataclass(frozen=True, slots=True)
 class WeakenLaw:
     old: object
     new: object
 
     def describe(self):
-        return "replace %s %s with %s" % (self._kind, self.old, self.new)
-
-    def _swap(self, laws):
-        return tuple(self.new if law == self.old else law for law in laws)
-
-
-@dataclass(frozen=True, slots=True)
-class WeakenExecutability(WeakenLaw):
-    _kind = "executability law"
+        return "replace %s %s with %s" % (_LAW_FIELDS[type(self.old)][1],
+                                          self.old, self.new)
 
     def apply(self, theory):
-        return replace(theory, execs=self._swap(theory.execs))
-
-
-@dataclass(frozen=True, slots=True)
-class WeakenEffect(WeakenLaw):
-    _kind = "effect law"
-
-    def apply(self, theory):
-        return replace(theory, effects=self._swap(theory.effects))
-
-
-@dataclass(frozen=True, slots=True)
-class WeakenInexecutability(WeakenLaw):
-    _kind = "inexecutability law"
-
-    def apply(self, theory):
-        return replace(theory, inexecs=self._swap(theory.inexecs))
+        field = _LAW_FIELDS[type(self.old)][0]
+        laws = tuple(self.new if law == self.old else law
+                     for law in getattr(theory, field))
+        return replace(theory, **{field: laws})
 
 
 def _restrict(law, extra):
@@ -98,20 +84,17 @@ def _restrict(law, extra):
     return replace(law, pre=pre)
 
 
-def _weaken(cls, law, extra):
+def _weaken(law, extra):
     new = _restrict(law, extra)
-    return None if new is None else cls(law, new)
+    return None if new is None else WeakenLaw(law, new)
 
 
 def _candidates(finding):
     if isinstance(finding, StaticLawFinding):
         out = [AddStatic(finding.formula),
-               _weaken(WeakenExecutability, finding.exec_law,
-                       finding.formula)]
+               _weaken(finding.exec_law, finding.formula)]
         for law in finding.subset:
-            cls = WeakenInexecutability \
-                if isinstance(law, InexecutabilityLaw) else WeakenEffect
-            out.append(_weaken(cls, law, finding.formula))
+            out.append(_weaken(law, finding.formula))
         for lit in finding.chi:
             out.append(AddDependence(finding.action, lit))
         return [c for c in out if c is not None]
@@ -120,7 +103,7 @@ def _candidates(finding):
         for lit in finding.chi:
             out.append(AddDependence(finding.action, lit))
         for law in finding.subset:
-            out.append(_weaken(WeakenEffect, law, Not(finding.law.pre)))
+            out.append(_weaken(law, Not(finding.law.pre)))
         return [c for c in out if c is not None]
     raise TypeError("not a finding: %r" % (finding,))
 

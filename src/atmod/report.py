@@ -10,7 +10,8 @@ import json
 from dataclasses import dataclass
 
 from atmod import engine, kernels, semantics
-from atmod.analysis import StaticLawFinding, check_postulates, pdl_covers
+from atmod.analysis import (StaticLawFinding, _Facts, check_postulates,
+                            pdl_covers)
 from atmod.formulas import FALSE, clause_formula
 from atmod.repairs import suggest_repairs
 from atmod.theory import BoxQuery, ClassicalQuery
@@ -34,10 +35,12 @@ class Diagnosis:
         return all(v.ok for v in self.verdicts)
 
 
-def _confirm(theory, finding):
+def _confirm(facts, finding):
     """Semantic cross-check: the law holds in every intended model but
-    is not already explicit."""
-    sub = theory.for_action(finding.action)
+    is not already explicit.  Decided on the action's pruned model in
+    the shared facts."""
+    theory = facts.theory
+    known = facts.of(finding.action)
     if isinstance(finding, StaticLawFinding):
         query = ClassicalQuery(finding.formula)
         explicit = engine.entails(theory.static_formulas(), finding.formula)
@@ -46,12 +49,14 @@ def _confirm(theory, finding):
         explicit = pdl_covers(theory.static_formulas(),
                               theory.inexecs_for(finding.action),
                               finding.law.pre)
-    return semantics.entails_dep(sub, query) and not explicit
+    return semantics.pruned_entails(known.sub, known.model, query) \
+        and not explicit
 
 
 def diagnose(theory, postulates=None, newcons_base="fixed"):
     """Check the postulates and report each finding with its repairs."""
-    verdicts = check_postulates(theory, postulates, newcons_base)
+    facts = _Facts(theory, newcons_base)
+    verdicts = check_postulates(theory, postulates, newcons_base, facts)
     seen = set()
     findings = []
     for verdict in verdicts:
@@ -63,17 +68,13 @@ def diagnose(theory, postulates=None, newcons_base="fixed"):
             findings.append(FindingReport(
                 finding,
                 suggest_repairs(theory, finding, newcons_base),
-                _confirm(theory, finding)))
+                _confirm(facts, finding)))
     return Diagnosis(theory, verdicts, tuple(findings))
 
 
 def _finding_kind(finding):
     return "static" if isinstance(finding, StaticLawFinding) \
         else "inexecutability"
-
-
-def _finding_law(finding):
-    return str(finding)
 
 
 def _witness(finding):
@@ -135,7 +136,7 @@ def render_json(diagnosis):
         "findings": [
             {"kind": _finding_kind(r.finding),
              "action": r.finding.action,
-             "law": _finding_law(r.finding),
+             "law": str(r.finding),
              "witness": _witness(r.finding),
              "repairs": [repair.describe() for repair in r.repairs],
              "confirmed": r.confirmed}

@@ -57,9 +57,6 @@ class KripkeModel:
     def index(self):
         return {f: i for i, f in enumerate(self.fluents)}
 
-    def holds_at(self, formula, world):
-        return eval_mask(formula, world, self.index)
-
     def world_dict(self, mask):
         return {f: bool(mask >> i & 1) for i, f in enumerate(self.fluents)}
 
@@ -184,10 +181,16 @@ def _refutes(theory, model, query, index):
     raise TypeError("not a query: %r" % (query,))
 
 
+def pruned_entails(theory, pruned, query):
+    """Entailment over all models of the theory respecting its dependence,
+    decided on its pruned model (as prune_fixpoint(theory) returns it)."""
+    index = {f: i for i, f in enumerate(theory.fluents)}
+    return _refutes(theory, pruned, query, index) is None
+
+
 def entails_dep(theory, query):
     """Entailment over all models of the theory respecting its dependence."""
-    index = {f: i for i, f in enumerate(theory.fluents)}
-    return _refutes(theory, prune_fixpoint(theory), query, index) is None
+    return pruned_entails(theory, prune_fixpoint(theory), query)
 
 
 def entails_pdl(theory, query):

@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 
 from atmod import analysis, engine, semantics
@@ -5,6 +8,8 @@ from atmod.errors import ResourceLimitError
 from atmod.formulas import FALSE, parse_formula
 from atmod.theory import (BoxQuery, ClassicalQuery, EffectLaw, parse_theory)
 from dataclasses import replace
+
+from conftest import FIXTURES, random_theory
 
 
 def _static_strs(t, action, base="fixed"):
@@ -178,6 +183,22 @@ def test_check_postulates_order(theory):
     verdicts = analysis.check_postulates(theory("t1"), ("PS", "PC*"))
     assert [(v.postulate, v.action) for v in verdicts] == \
         [("PS", "tease"), ("PS", "shoot"), ("PC*", None)]
+
+
+@pytest.mark.parametrize("base", ["fixed", "grow"])
+def test_shared_facts_match_fresh_ones(theory, base):
+    # check_postulates shares one record of facts across all postulates;
+    # each verdict must equal the one decided from a fresh record.
+    rng = random.Random(11)
+    theories = [theory(name[:-3]) for name in sorted(os.listdir(FIXTURES))]
+    theories += [random_theory(rng) for _ in range(60)]
+    for t in theories:
+        fresh = tuple(
+            analysis.check_postulate(t, postulate, action, base)
+            for postulate in analysis.POSTULATES
+            for action in ((None,) if postulate.endswith("*")
+                           else t.actions))
+        assert analysis.check_postulates(t, None, base) == fresh
 
 
 def test_unknown_postulate(theory):

@@ -1,13 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from atmod.engine import valuations_of
 from atmod.errors import ParseError
 from atmod.formulas import (FALSE, TRUE, And, Atom, Iff, Imp, Literal, Not,
                             Or, atoms_of, clause_formula, cnf_clauses, conj,
                             disj, flatten_and, format_formula,
-                            negated_clause_formula, parse_formula, simplify,
-                            to_cnf)
+                            negated_clause_formula, parse_formula, simplify)
 from atmod.semantics import eval_mask
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -98,6 +96,10 @@ def _truth(f, valuation):
     return eval_mask(f, mask, index)
 
 
+def test_cnf_of_tautology_is_empty():
+    assert cnf_clauses(parse_formula("p | ~p")) == ()
+
+
 @given(_formulas())
 def test_cnf_equivalent(f):
     atoms = sorted(atoms_of(f)) or ["p"]
@@ -115,14 +117,3 @@ def test_simplify_equivalent(f):
     for mask in range(1 << len(atoms)):
         valuation = {a: bool(mask >> i & 1) for i, a in enumerate(atoms)}
         assert _truth(f, valuation) == _truth(s, valuation)
-
-
-def test_to_cnf_unsat_is_empty_clause():
-    assert to_cnf(parse_formula("p & ~p & q")) == ((),)
-    assert to_cnf(parse_formula("p | ~p")) == ()
-
-
-def test_valuations_of():
-    vals = valuations_of([parse_formula("p -> q")])
-    assert {(v["p"], v["q"]) for v in vals} == \
-        {(False, False), (False, True), (True, True)}

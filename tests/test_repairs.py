@@ -1,9 +1,8 @@
 from atmod import analysis
 from atmod.formulas import parse_formula
 from atmod.repairs import (AddDependence, AddInexecutability, AddStatic,
-                           WeakenEffect, WeakenExecutability,
-                           WeakenInexecutability, suggest_repairs)
-from atmod.theory import parse_theory
+                           WeakenLaw, suggest_repairs)
+from atmod.theory import EffectLaw, ExecutabilityLaw, parse_theory
 
 
 def _describe(repairs):
@@ -20,9 +19,9 @@ def test_static_finding_repairs(theory):
     ]
     # weakening the effect law or extending dependence leaves the
     # implicit law in place, so neither is suggested
-    kinds = {type(r) for r in repairs}
-    assert WeakenEffect not in kinds
-    assert AddDependence not in kinds
+    assert not any(isinstance(r, WeakenLaw) and isinstance(r.old, EffectLaw)
+                   for r in repairs)
+    assert not any(isinstance(r, AddDependence) for r in repairs)
 
 
 def test_static_finding_repairs_weaken_inexec(theory):
@@ -79,7 +78,8 @@ def test_apply_weaken_swaps_in_place(theory):
     old = t.execs_for("tease")[0]
     finding = analysis.implicit_static_laws(t, "tease")[0]
     repair = next(r for r in suggest_repairs(t, finding)
-                  if isinstance(r, WeakenExecutability))
+                  if isinstance(r, WeakenLaw)
+                  and isinstance(r.old, ExecutabilityLaw))
     patched = repair.apply(t)
     assert old not in patched.execs
     assert repair.new in patched.execs
@@ -122,5 +122,6 @@ def test_degenerate_weakening_dropped():
     finding = analysis.implicit_static_laws(t, "shoot")[0]
     assert str(finding) == "~hasGun"
     repairs = suggest_repairs(t, finding)
-    assert not any(isinstance(r, WeakenExecutability) for r in repairs)
+    assert not any(isinstance(r, WeakenLaw)
+                   and isinstance(r.old, ExecutabilityLaw) for r in repairs)
     assert any(isinstance(r, AddStatic) for r in repairs)

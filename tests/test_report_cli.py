@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from atmod import cli, report
+from atmod import cli, report, semantics
 from atmod.theory import load_theory, parse_theory
 from conftest import fixture_path
 
@@ -27,6 +27,47 @@ def test_diagnose_findings_confirmed(theory):
     assert [str(r.finding) for r in d.findings] == ["alive"]
     assert all(r.confirmed for r in d.findings)
     assert all(r.repairs for r in d.findings)
+
+
+def _count_prunes(monkeypatch):
+    pruned = []
+    original = semantics.prune_fixpoint
+
+    def counting(theory):
+        pruned.append(theory.actions)
+        return original(theory)
+
+    monkeypatch.setattr(semantics, "prune_fixpoint", counting)
+    return pruned
+
+
+def test_diagnose_prunes_once_per_action(theory, monkeypatch):
+    pruned = _count_prunes(monkeypatch)
+    t = theory("intline")
+    d = report.diagnose(t)
+    assert d.findings and all(r.confirmed for r in d.findings)
+    assert sorted(pruned) == [(a,) for a in sorted(t.actions)]
+
+
+def test_diagnose_pbot_failure_prunes_once(monkeypatch):
+    pruned = _count_prunes(monkeypatch)
+    t = parse_theory("""
+        theory vacuous {
+          fluents p q;
+          actions a;
+          action a {
+            causes q;
+            effect p => q;
+            inexecutable p;
+          }
+        }
+    """)
+    d = report.diagnose(t)
+    (pbot,) = [v for v in d.verdicts if v.postulate == "P-bot"]
+    assert pbot.status == "fail"
+    assert pbot.detail == \
+        "effect law p -> [a]q only applies where the action cannot occur"
+    assert pruned == [("a",)]
 
 
 def test_render_text(theory):
