@@ -89,32 +89,34 @@ def implicit_static_laws(theory, action, newcons_base="fixed"):
     """
     if newcons_base not in ("fixed", "grow"):
         raise ValueError("newcons_base must be 'fixed' or 'grow'")
-    statics = theory.static_formulas()
-    laws = _consequence_laws(theory, action)
-    findings = []
-    caught = []              # formulas of all findings, across rounds
-    while True:
-        step = []
-        for exec_law in theory.execs_for(action):
-            for subset in _nonempty_subsets(laws):
-                pre_c = conj(_law_consequence(l)[0] for l in subset)
-                post_c = conj(_law_consequence(l)[1] for l in subset)
-                base = statics + caught + step if newcons_base == "grow" \
-                    else statics
-                for chi in engine.new_cons(base, post_c):
-                    if not _independent(theory, action, chi):
-                        continue
-                    core = [exec_law.pre, pre_c, negated_clause_formula(chi)]
-                    if not engine.satisfiable(
-                            statics + caught + step + core):
-                        continue
-                    law = simplify(Not(conj(core)))
-                    step.append(law)
-                    findings.append(StaticLawFinding(
-                        action, law, exec_law, subset, chi))
-        if not step:
-            return findings
-        caught += step
+    with engine.memo():
+        statics = theory.static_formulas()
+        laws = _consequence_laws(theory, action)
+        findings = []
+        caught = []              # formulas of all findings, across rounds
+        while True:
+            step = []
+            for exec_law in theory.execs_for(action):
+                for subset in _nonempty_subsets(laws):
+                    pre_c = conj(_law_consequence(l)[0] for l in subset)
+                    post_c = conj(_law_consequence(l)[1] for l in subset)
+                    base = statics + caught + step \
+                        if newcons_base == "grow" else statics
+                    for chi in engine.new_cons(base, post_c):
+                        if not _independent(theory, action, chi):
+                            continue
+                        core = [exec_law.pre, pre_c,
+                                negated_clause_formula(chi)]
+                        if not engine.satisfiable(
+                                statics + caught + step + core):
+                            continue
+                        law = simplify(Not(conj(core)))
+                        step.append(law)
+                        findings.append(StaticLawFinding(
+                            action, law, exec_law, subset, chi))
+            if not step:
+                return findings
+            caught += step
 
 
 def pdl_covers(statics, laws, phi):
@@ -137,31 +139,32 @@ def implicit_inexec_laws(theory, action):
     effects apply but chi fails.  A law of that shape that does not
     already follow from the explicit inexecutabilities is reported.
     """
-    statics = theory.static_formulas()
-    effects = theory.effects_for(action)
-    if len(effects) > MAX_CONSEQUENCE_LAWS:
-        raise ResourceLimitError(
-            "action %r has %d effect laws, limit is %d"
-            % (action, len(effects), MAX_CONSEQUENCE_LAWS))
-    inexecs = theory.inexecs_for(action)
-    findings = []
-    seen = set()
-    for size in range(len(effects) + 1):
-        for subset in combinations(effects, size):
-            pre_c = conj(law.pre for law in subset)
-            post_c = conj(law.post for law in subset)
-            for chi in engine.new_cons(statics, post_c):
-                if not _independent(theory, action, chi):
-                    continue
-                pre = simplify(And(pre_c, negated_clause_formula(chi)))
-                if pre in seen:
-                    continue
-                if pdl_covers(statics, inexecs, pre):
-                    continue
-                seen.add(pre)
-                findings.append(InexecLawFinding(
-                    action, InexecutabilityLaw(action, pre), subset, chi))
-    return findings
+    with engine.memo():
+        statics = theory.static_formulas()
+        effects = theory.effects_for(action)
+        if len(effects) > MAX_CONSEQUENCE_LAWS:
+            raise ResourceLimitError(
+                "action %r has %d effect laws, limit is %d"
+                % (action, len(effects), MAX_CONSEQUENCE_LAWS))
+        inexecs = theory.inexecs_for(action)
+        findings = []
+        seen = set()
+        for size in range(len(effects) + 1):
+            for subset in combinations(effects, size):
+                pre_c = conj(law.pre for law in subset)
+                post_c = conj(law.post for law in subset)
+                for chi in engine.new_cons(statics, post_c):
+                    if not _independent(theory, action, chi):
+                        continue
+                    pre = simplify(And(pre_c, negated_clause_formula(chi)))
+                    if pre in seen:
+                        continue
+                    if pdl_covers(statics, inexecs, pre):
+                        continue
+                    seen.add(pre)
+                    findings.append(InexecLawFinding(
+                        action, InexecutabilityLaw(action, pre), subset, chi))
+        return findings
 
 
 # -- postulates ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import os
 import sys
 
 from atmod import analysis, report, semantics
-from atmod.errors import AtmodError, ResourceLimitError
+from atmod.errors import AtmodError, ResourceLimitError, nesting_error
 from atmod.formulas import FALSE
 from atmod.repairs import suggest_repairs
 from atmod.theory import (BoxQuery, ClassicalQuery, DiamondQuery,
@@ -209,8 +209,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except RecursionError:
-        print("error: formula nested too deeply (Python recursion limit "
-              "is %d)" % sys.getrecursionlimit(), file=sys.stderr)
+        print("error: %s" % nesting_error(), file=sys.stderr)
         return 3
     except (AtmodError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

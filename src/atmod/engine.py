@@ -3,9 +3,15 @@
 All functions take plain formulas (or sequences of them, read
 conjunctively) and enforce a global atom-count guard, configurable via
 the ATMOD_MAX_ATOMS environment variable (default 24).
+
+Inside a memo() scope, each formula's atoms and clauses are computed
+once, and the prime implicates of each formula set once per atom limit;
+outside any scope every call starts from empty tables.
 """
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from atmod import kernels
 from atmod.errors import ResourceLimitError
@@ -20,17 +26,58 @@ def max_atoms():
     return int(value) if value else DEFAULT_MAX_ATOMS
 
 
-def universe_of(formulas, extra=()):
-    """Sorted atom universe of a set of formulas, checked against the guard."""
-    atoms = set(extra)
-    for f in formulas:
-        atoms |= atoms_of(f)
-    universe = tuple(sorted(atoms))
+class _Memo:
+    """Per-formula atoms and clauses, and prime implicates keyed by
+    (formulas, atom limit)."""
+
+    __slots__ = ("atoms", "clauses", "implicates")
+
+    def __init__(self):
+        self.atoms = {}
+        self.clauses = {}
+        self.implicates = {}
+
+
+_SCOPE = ContextVar("atmod_engine_memo", default=None)
+
+
+@contextmanager
+def memo():
+    """Share one memo among the engine calls made inside the block; a
+    nested block joins the scope already open."""
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set(_Memo())
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _memo():
+    return _SCOPE.get() or _Memo()
+
+
+def _check_atoms(universe):
     limit = max_atoms()
     if len(universe) > limit:
         raise ResourceLimitError(
             "universe has %d atoms, limit is %d (set ATMOD_MAX_ATOMS to raise)"
             % (len(universe), limit))
+
+
+def universe_of(formulas, extra=()):
+    """Sorted atom universe of a set of formulas, checked against the guard."""
+    table = _memo().atoms
+    atoms = set(extra)
+    for f in formulas:
+        found = table.get(f)
+        if found is None:
+            found = table[f] = atoms_of(f)
+        atoms |= found
+    universe = tuple(sorted(atoms))
+    _check_atoms(universe)
     return universe
 
 
@@ -54,10 +101,14 @@ def masks_to_clause(pos, neg, universe):
 
 
 def formulas_to_masks(formulas, universe):
+    table = _memo().clauses
     index = {a: i for i, a in enumerate(universe)}
     out = []
     for f in formulas:
-        for clause in cnf_clauses(f):
+        clauses = table.get(f)
+        if clauses is None:
+            clauses = table[f] = cnf_clauses(f)
+        for clause in clauses:
             out.append(clause_to_masks(clause, index))
     return out
 
@@ -77,11 +128,7 @@ def entails(premises, conclusion):
 
 def model_masks(formulas, universe):
     """All valuations over a fixed universe satisfying the formulas."""
-    limit = max_atoms()
-    if len(universe) > limit:
-        raise ResourceLimitError(
-            "universe has %d atoms, limit is %d (set ATMOD_MAX_ATOMS to raise)"
-            % (len(universe), limit))
+    _check_atoms(universe)
     masks = formulas_to_masks(formulas, universe)
     return kernels.enum_models(masks, len(universe))
 
@@ -92,11 +139,17 @@ def prime_implicates(formulas):
     A valid input yields the empty set; an unsatisfiable one yields the
     set containing only the empty clause.
     """
-    formulas = list(formulas)
-    universe = universe_of(formulas)
-    masks = formulas_to_masks(formulas, universe)
-    prime = kernels.saturate(masks)
-    return sort_clauses(masks_to_clause(p, n, universe) for p, n in prime)
+    table = _memo().implicates
+    formulas = tuple(formulas)
+    key = (formulas, max_atoms())
+    prime = table.get(key)
+    if prime is None:
+        universe = universe_of(formulas)
+        masks = formulas_to_masks(formulas, universe)
+        prime = table[key] = sort_clauses(
+            masks_to_clause(p, n, universe)
+            for p, n in kernels.saturate(masks))
+    return prime
 
 
 def new_cons(base, psi):

@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+import sys
+
 
 class AtmodError(Exception):
     """Base class for all errors raised by atmod."""
@@ -22,3 +24,11 @@ class TheoryError(AtmodError):
 
 class ResourceLimitError(AtmodError):
     """A computation would exceed the configured size guards."""
+
+
+def nesting_error():
+    """The error for a formula nested deeper than the recursive parser
+    and CNF conversion can follow."""
+    return ResourceLimitError(
+        "formula nested too deeply (Python recursion limit is %d)"
+        % sys.getrecursionlimit())

@@ -122,7 +122,9 @@ def suggest_repairs(theory, finding, newcons_base="fixed"):
 
     Every candidate is applied to the theory and the detection re-run;
     only the ones after which the finding no longer shows up are kept.
+    The re-detections share one engine memo.
     """
-    return tuple(c for c in _candidates(finding)
-                 if not _still_present(finding, c.apply(theory),
-                                       newcons_base))
+    with engine.memo():
+        return tuple(c for c in _candidates(finding)
+                     if not _still_present(finding, c.apply(theory),
+                                           newcons_base))

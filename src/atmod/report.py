@@ -54,21 +54,26 @@ def _confirm(facts, finding):
 
 
 def diagnose(theory, postulates=None, newcons_base="fixed"):
-    """Check the postulates and report each finding with its repairs."""
-    facts = _Facts(theory, newcons_base)
-    verdicts = check_postulates(theory, postulates, newcons_base, facts)
-    seen = set()
-    findings = []
-    for verdict in verdicts:
-        for finding in verdict.findings:
-            key = (type(finding).__name__, finding.action, str(finding))
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(FindingReport(
-                finding,
-                suggest_repairs(theory, finding, newcons_base),
-                _confirm(facts, finding)))
+    """Check the postulates and report each finding with its repairs.
+
+    The whole verdict shares one engine memo, so the detections and the
+    repair re-detections compile each formula and saturate each formula
+    set once."""
+    with engine.memo():
+        facts = _Facts(theory, newcons_base)
+        verdicts = check_postulates(theory, postulates, newcons_base, facts)
+        seen = set()
+        findings = []
+        for verdict in verdicts:
+            for finding in verdict.findings:
+                key = (type(finding).__name__, finding.action, str(finding))
+                if key in seen:
+                    continue
+                seen.add(key)
+                findings.append(FindingReport(
+                    finding,
+                    suggest_repairs(theory, finding, newcons_base),
+                    _confirm(facts, finding)))
     return Diagnosis(theory, verdicts, tuple(findings))
 
 

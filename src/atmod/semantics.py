@@ -13,11 +13,15 @@ no surviving successor are deleted until none remain.
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from atmod import engine
 from atmod.errors import ResourceLimitError
 from atmod.formulas import And, Atom, Bot, Iff, Imp, Literal, Not, Or, Top
 from atmod.theory import BoxQuery, ClassicalQuery, DiamondQuery
+
+# Most world subsets one countermodel search may try.
+MAX_COUNTERMODEL_SUBSETS = 1_000_000
 
 
 def eval_mask(formula, mask, index):
@@ -206,13 +210,23 @@ def enumerate_countermodel(theory, query, max_worlds=4):
     Tries every subset of the static-law worlds with at most max_worlds
     elements, equipped with all permitted edges.  Returns a refuting
     KripkeModel or None.  Complete once max_worlds covers all static-law
-    worlds; below that it is a sound but partial check.
+    worlds; below that it is a sound but partial check.  Raises
+    ResourceLimitError, before any search, when there are more than
+    MAX_COUNTERMODEL_SUBSETS such subsets.
     """
     if len(theory.fluents) > 16:
         raise ResourceLimitError(
             "countermodel search is limited to 16 fluents")
     index = {f: i for i, f in enumerate(theory.fluents)}
     candidates = static_worlds(theory)
+    subsets = sum(comb(len(candidates), k)
+                  for k in range(1, min(max_worlds, len(candidates)) + 1))
+    if subsets > MAX_COUNTERMODEL_SUBSETS:
+        raise ResourceLimitError(
+            "countermodel search would try %d world subsets (up to %d of "
+            "%d worlds), limit is %d"
+            % (subsets, max_worlds, len(candidates),
+               MAX_COUNTERMODEL_SUBSETS))
     execs = {a: theory.execs_for(a) for a in theory.actions}
     edges = {a: {} for a in theory.actions}
     for action in theory.actions:

@@ -23,7 +23,7 @@ literal is frame-protected for that action.
 from dataclasses import dataclass, replace
 
 from atmod import engine
-from atmod.errors import ParseError, TheoryError
+from atmod.errors import ParseError, TheoryError, nesting_error
 from atmod.formulas import (FALSE, TRUE, Formula, Literal, Not, Top,
                             atoms_of, format_formula, parse_formula_stream,
                             tokenize, TokenStream)
@@ -207,6 +207,13 @@ def _check_query(query, theory):
 # -- theory file parser -----------------------------------------------------
 
 def parse_theory(text):
+    try:
+        return _parse_theory(text)
+    except RecursionError:
+        raise nesting_error() from None
+
+
+def _parse_theory(text):
     ts = TokenStream(tokenize(text))
     tok = ts.peek()
     if ts.ident("keyword 'theory'") != "theory":
@@ -358,6 +365,13 @@ def validate(theory):
     means every law is well formed.  (Joint consistency of the whole
     theory is a postulate, not a well-formedness condition.)
     """
+    try:
+        return _problems(theory)
+    except RecursionError:
+        raise nesting_error() from None
+
+
+def _problems(theory):
     problems = []
     for law in theory.statics:
         if not engine.satisfiable([law.formula]):

@@ -77,3 +77,24 @@ def test_atom_guard(monkeypatch):
     assert engine.satisfiable([parse_formula("p & q")])
     monkeypatch.delenv("ATMOD_MAX_ATOMS")
     assert engine.max_atoms() == engine.DEFAULT_MAX_ATOMS
+
+
+def test_memo_keeps_the_atom_guard(monkeypatch):
+    fs = [parse_formula("p -> q"), parse_formula("q -> r")]
+    with engine.memo():
+        assert engine.prime_implicates(fs)
+        monkeypatch.setenv("ATMOD_MAX_ATOMS", "2")
+        with pytest.raises(ResourceLimitError):
+            engine.prime_implicates(fs)
+        with pytest.raises(ResourceLimitError):
+            engine.satisfiable(fs)
+
+
+def test_nested_memo_joins_the_open_scope():
+    assert engine._SCOPE.get() is None
+    with engine.memo():
+        outer = engine._SCOPE.get()
+        with engine.memo():
+            assert engine._SCOPE.get() is outer
+        assert engine._SCOPE.get() is outer
+    assert engine._SCOPE.get() is None

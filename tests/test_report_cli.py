@@ -1,11 +1,13 @@
 import json
 import os
+import random
 
 import pytest
 
-from atmod import cli, report, semantics
-from atmod.theory import load_theory, parse_theory
-from conftest import fixture_path
+from atmod import cli, engine, kernels, report, semantics
+from atmod.errors import ResourceLimitError
+from atmod.theory import load_theory, parse_theory, validate
+from conftest import FIXTURES, fixture_path, random_theory
 
 
 def run(capsys, *argv):
@@ -68,6 +70,68 @@ def test_diagnose_pbot_failure_prunes_once(monkeypatch):
     assert pbot.detail == \
         "effect law p -> [a]q only applies where the action cannot occur"
     assert pruned == [("a",)]
+
+
+def _count_engine_work(monkeypatch):
+    """Record the formulas compiled, the formula sets asked for prime
+    implicates and the clause sets saturated."""
+    work = {"cnf": [], "pi": [], "saturate": []}
+    cnf, pi, saturate = engine.cnf_clauses, engine.prime_implicates, \
+        kernels.saturate
+
+    def counting_cnf(formula):
+        work["cnf"].append(formula)
+        return cnf(formula)
+
+    def counting_pi(formulas):
+        formulas = tuple(formulas)
+        work["pi"].append(formulas)
+        return pi(formulas)
+
+    def counting_saturate(clauses):
+        work["saturate"].append(clauses)
+        return saturate(clauses)
+
+    monkeypatch.setattr(engine, "cnf_clauses", counting_cnf)
+    monkeypatch.setattr(engine, "prime_implicates", counting_pi)
+    monkeypatch.setattr(kernels, "saturate", counting_saturate)
+    return work
+
+
+def test_diagnose_compiles_and_saturates_once(theory, monkeypatch):
+    work = _count_engine_work(monkeypatch)
+    d = report.diagnose(theory("intline"))
+    assert d.findings and all(r.repairs for r in d.findings)
+    assert work["cnf"] and len(work["cnf"]) == len(set(work["cnf"]))
+    assert len(work["saturate"]) == len(set(work["pi"])) < len(work["pi"])
+
+
+def test_each_diagnose_does_its_own_work(theory, monkeypatch):
+    work = _count_engine_work(monkeypatch)
+    t = theory("intline")
+    first = report.diagnose(t)
+    counts = {k: len(v) for k, v in work.items()}
+    assert engine._SCOPE.get() is None
+    second = report.diagnose(t)
+    assert second == first
+    for k, v in work.items():
+        assert len(v) == 2 * counts[k] > 0
+    assert engine._SCOPE.get() is None
+
+
+@pytest.mark.parametrize("base", ["fixed", "grow"])
+def test_one_memo_across_theories_changes_no_report(theory, base):
+    # One scope shared by many diagnoses must not leak one theory's
+    # clauses or prime implicates into another's report.
+    rng = random.Random(13)
+    theories = [theory(name[:-3]) for name in sorted(os.listdir(FIXTURES))]
+    theories += [random_theory(rng) for _ in range(60)]
+    alone = [report.render_json(report.diagnose(t, None, base))
+             for t in theories]
+    with engine.memo():
+        shared = [report.render_json(report.diagnose(t, None, base))
+                  for t in theories]
+    assert shared == alone
 
 
 def test_render_text(theory):
@@ -227,3 +291,27 @@ def test_cli_deep_nesting_is_a_resource_error(capsys, tmp_path):
         assert code == 3
         assert "nested too deeply" in err
         assert "Traceback" not in err
+
+
+def test_library_deep_nesting_is_a_resource_error():
+    deep = ("theory deep {\n  fluents p;\n  actions a;\n"
+            "  static { %s; }\n}\n")
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        parse_theory(deep % ("~" * 4000 + "p"))
+    wide = parse_theory(deep % " & ".join(["p"] * 3000))
+    with pytest.raises(ResourceLimitError, match="nested too deeply"):
+        validate(wide)
+
+
+def test_cli_crosscheck_subset_limit(capsys, tmp_path):
+    path = tmp_path / "wide.at"
+    path.write_text("theory wide {\n  fluents %s;\n  static { f0 | ~f0; }\n}\n"
+                    % " ".join("f%d" % i for i in range(8)))
+    code, out, err = run(capsys, "crosscheck", str(path), "--bound", "4")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: countermodel search would try 177589056 world "
+                   "subsets (up to 4 of 256 worlds), limit is 1000000\n")
+    code, out, err = run(capsys, "crosscheck", str(path), "--bound", "2")
+    assert code == 0
+    assert out == "f0 | ~f0: agree (entailed, no countermodel)\n"
