@@ -7,7 +7,10 @@ Implication and equivalence associate to the right, & and | to the left.
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from atmod.errors import ParseError
+from atmod.errors import ParseError, ResourceLimitError
+
+# Most clauses one distribution step of cnf_clauses may build.
+MAX_CNF_CLAUSES = 100_000
 
 
 class Formula:
@@ -435,7 +438,10 @@ def sort_clauses(clauses):
 
 
 def cnf_clauses(formula):
-    """Clausal form by distribution; tautologous clauses are dropped."""
+    """Clausal form by distribution; tautologous clauses are dropped.
+
+    Raises ResourceLimitError when one distribution step would build more
+    than MAX_CNF_CLAUSES clauses."""
     def go(f):
         if isinstance(f, Top):
             return set()
@@ -450,6 +456,11 @@ def cnf_clauses(formula):
         left, right = go(f.left), go(f.right)
         if not left or not right:  # one side is valid
             return set()
+        if len(left) * len(right) > MAX_CNF_CLAUSES:
+            raise ResourceLimitError(
+                "clausal form would build %d clauses in one distribution "
+                "step, limit is %d" % (len(left) * len(right),
+                                       MAX_CNF_CLAUSES))
         merged = set()
         for c1 in left:
             for c2 in right:

@@ -4,10 +4,14 @@ Worlds are valuations of the declared fluents, encoded as bitmasks in
 declaration order.  An edge v -a-> w is permitted when it respects the
 dependence relation of a (a literal the action cannot cause stays false,
 respectively true, across the edge) and every direct consequence of a
-(effect and inexecutability laws).  The intended models are computed by
-a greatest-fixpoint pruning: starting from all static-law models with
-all permitted edges, worlds where some applicable executability law has
-no surviving successor are deleted until none remain.
+(effect and inexecutability laws).  The big model, all static-law
+worlds with all permitted edges, is built by image computation: at each
+world only the fluents the action may flip there are enumerated, and
+the consequents that apply there filter the candidates, so no world
+pair is tested unless the dependence relation lets the action reach it.
+The intended models are computed by a greatest-fixpoint pruning:
+starting from the big model, worlds where some applicable executability
+law has no surviving successor are deleted until none remain.
 """
 
 import json
@@ -17,7 +21,8 @@ from math import comb
 
 from atmod import engine
 from atmod.errors import ResourceLimitError
-from atmod.formulas import And, Atom, Bot, Iff, Imp, Literal, Not, Or, Top
+from atmod.formulas import (FALSE, And, Atom, Bot, Iff, Imp, Literal, Not, Or,
+                            Top)
 from atmod.theory import BoxQuery, ClassicalQuery, DiamondQuery
 
 # Most world subsets one countermodel search may try.
@@ -87,14 +92,48 @@ def static_worlds(theory):
 
 
 def big_model(theory):
-    """All static-law worlds with every permitted edge."""
+    """All static-law worlds with every permitted edge.
+
+    Successors are generated, not searched for: an action may flip at a
+    world v only the bits in free = (~v & rise) | (v & fall), where rise
+    and fall hold the fluents it may make true and false, so every
+    candidate target is v ^ s for a subset s of free.  The consequents
+    of the laws in consq(action) whose antecedent holds at v are kept;
+    a candidate is an edge when it is a static-law world satisfying all
+    of them.  The relation lists edges by source, then target, as a
+    filter of all world pairs through permitted_edge would.
+    """
     index = {f: i for i, f in enumerate(theory.fluents)}
     worlds = static_worlds(theory)
+    world_set = set(worlds)
     relation = {}
     for action in theory.actions:
-        relation[action] = tuple(
-            (v, w) for v in worlds for w in worlds
-            if permitted_edge(theory, action, index, v, w))
+        rise = fall = 0
+        for fluent, i in index.items():
+            if theory.may_change(action, Literal(fluent, False)):
+                rise |= 1 << i
+            if theory.may_change(action, Literal(fluent, True)):
+                fall |= 1 << i
+        consq = theory.consq(action)
+        edges = []
+        for v in worlds:
+            posts = [post for pre, post in consq if eval_mask(pre, v, index)]
+            if FALSE in posts:      # an inexecutability law applies
+                continue
+            free = (~v & rise) | (v & fall)
+            targets = []
+            s = free
+            while True:
+                w = v ^ s
+                if w in world_set and all(eval_mask(post, w, index)
+                                          for post in posts):
+                    targets.append(w)
+                if not s:
+                    break
+                s = (s - 1) & free
+            targets.sort()
+            edges.extend((v, w) for w in targets)
+        relation[action] = tuple(edges)
     return KripkeModel(theory.fluents, worlds, relation)
 
 
@@ -227,16 +266,18 @@ def enumerate_countermodel(theory, query, max_worlds=4):
             "%d worlds), limit is %d"
             % (subsets, max_worlds, len(candidates),
                MAX_COUNTERMODEL_SUBSETS))
-    execs = {a: theory.execs_for(a) for a in theory.actions}
-    edges = {a: {} for a in theory.actions}
-    for action in theory.actions:
-        for v in candidates:
-            edges[action][v] = [w for w in candidates
-                                if permitted_edge(theory, action, index, v, w)]
+    edges = {a: {v: [] for v in candidates} for a in theory.actions}
+    for action, pairs in big_model(theory).relation.items():
+        for v, w in pairs:
+            edges[action][v].append(w)
+    forced = {v: [a for a in theory.actions
+                  if any(eval_mask(law.pre, v, index)
+                         for law in theory.execs_for(a))]
+              for v in candidates}
     for size in range(1, min(max_worlds, len(candidates)) + 1):
         for subset in combinations(candidates, size):
             chosen = set(subset)
-            if not _subset_valid(subset, chosen, edges, execs, index):
+            if not _subset_valid(subset, chosen, edges, forced):
                 continue
             model = _subset_model(theory, subset, chosen, edges)
             refuted = _refutes(theory, model, query, index)
@@ -245,11 +286,12 @@ def enumerate_countermodel(theory, query, max_worlds=4):
     return None
 
 
-def _subset_valid(subset, chosen, edges, execs, index):
+def _subset_valid(subset, chosen, edges, forced):
+    """Whether every executability law applicable in the subset keeps a
+    successor inside it; forced[v] lists the actions some law forces at v."""
     for v in subset:
-        for action, laws in execs.items():
-            if any(eval_mask(law.pre, v, index) for law in laws) \
-                    and not any(w in chosen for w in edges[action][v]):
+        for action in forced[v]:
+            if chosen.isdisjoint(edges[action][v]):
                 return False
     return True
 

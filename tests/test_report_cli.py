@@ -315,3 +315,31 @@ def test_cli_crosscheck_subset_limit(capsys, tmp_path):
     code, out, err = run(capsys, "crosscheck", str(path), "--bound", "2")
     assert code == 0
     assert out == "f0 | ~f0: agree (entailed, no countermodel)\n"
+
+
+def _pairwise_disjunction(n):
+    return ("theory wide {\n  fluents %s;\n  static { %s; }\n}\n"
+            % (" ".join("a%d b%d" % (i, i) for i in range(n)),
+               " | ".join("(a%d & b%d)" % (i, i) for i in range(n))))
+
+
+def test_cnf_clause_limit(capsys, tmp_path, monkeypatch):
+    # 2^17 clauses exceed the limit in the last distribution step; the
+    # atom limit is raised so that the clause guard is the one hit
+    monkeypatch.setenv("ATMOD_MAX_ATOMS", "40")
+    message = ("clausal form would build 131072 clauses in one "
+               "distribution step, limit is 100000")
+    with pytest.raises(ResourceLimitError, match=message):
+        validate(parse_theory(_pairwise_disjunction(17)))
+    path = tmp_path / "wide17.at"
+    path.write_text(_pairwise_disjunction(17))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: %s\n" % message
+    path = tmp_path / "wide14.at"       # 16,384 clauses
+    path.write_text(_pairwise_disjunction(14))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 0
+    assert out.endswith("result: ok\n")
+    assert err == ""

@@ -1,10 +1,12 @@
+import glob
+import os
 import random
 
 from atmod import semantics
 from atmod.formulas import FALSE, Literal, parse_formula
 from atmod.theory import (BoxQuery, ClassicalQuery, DiamondQuery,
-                          parse_query, parse_theory)
-from conftest import random_formula, random_theory
+                          load_theory, parse_query, parse_theory)
+from conftest import FIXTURES, random_formula, random_theory
 
 GUNS = """
 theory guns {
@@ -35,6 +37,91 @@ def test_big_model_edges():
     assert (has, loaded) not in edges          # drops the gun
     assert (0, has | loaded) not in edges      # conjures a gun
     assert (has, has) not in edges             # effect law violated
+
+
+def _pair_filter(t, action):
+    """The edges of big_model by definition: every world pair, in order,
+    that permitted_edge accepts."""
+    index = {f: i for i, f in enumerate(t.fluents)}
+    worlds = semantics.static_worlds(t)
+    return tuple((v, w) for v in worlds for w in worlds
+                 if semantics.permitted_edge(t, action, index, v, w))
+
+
+def _assert_pair_filter(t):
+    model = semantics.big_model(t)
+    assert model.worlds == semantics.static_worlds(t)
+    assert set(model.relation) == set(t.actions)
+    for action in t.actions:
+        assert model.relation[action] == _pair_filter(t, action)
+
+
+def test_big_model_equals_the_pair_filter():
+    rng = random.Random(31)
+    theories = [load_theory(p)
+                for p in sorted(glob.glob(os.path.join(FIXTURES, "*.at")))]
+    theories += [random_theory(rng) for _ in range(100)]
+    for t in theories:
+        _assert_pair_filter(t)
+        _assert_pair_filter(t.with_total_dependence())
+        for action in t.actions:
+            _assert_pair_filter(t.for_action(action))
+
+
+def test_big_model_without_dependence_keeps_self_loops():
+    t = parse_theory("""
+        theory frozen {
+          fluents p q;
+          actions a;
+          static { p | q; }
+          action a { effect p => p; }
+        }
+    """)
+    model = semantics.big_model(t)
+    assert model.relation["a"] == tuple((v, v) for v in model.worlds)
+    _assert_pair_filter(t)
+
+
+def test_big_model_inexecutable_world_has_no_successor():
+    t = parse_theory("""
+        theory blocked {
+          fluents p q;
+          actions a;
+          action a { causes q, ~q; inexecutable p; }
+        }
+    """)
+    model = semantics.big_model(t)
+    p = _mask(t, p=True)
+    assert not any(v & p for v, _ in model.relation["a"])
+    assert {v for v, _ in model.relation["a"]} == {0, _mask(t, q=True)}
+    _assert_pair_filter(t)
+
+
+def test_big_model_work_follows_the_free_bits(monkeypatch):
+    # 12 fluents, no static laws: W = 4096 worlds, W^2 = 16.7 M pairs;
+    # the action may flip 2 fluents, so each world has 4 candidates
+    fluents = ["f%d" % i for i in range(12)]
+    t = parse_theory("""
+        theory wide {
+          fluents %s;
+          actions a;
+          action a { causes f0, ~f0, f1, ~f1; effect f2 => f0; }
+        }
+    """ % " ".join(fluents))
+    calls = []
+    original = semantics.eval_mask
+
+    def counting(formula, mask, index):
+        calls.append(formula)
+        return original(formula, mask, index)
+
+    monkeypatch.setattr(semantics, "eval_mask", counting)
+    model = semantics.big_model(t)
+    worlds, consq = len(model.worlds), len(t.consq("a"))
+    assert worlds == 4096 and consq == 1
+    assert len(calls) <= worlds * consq * (1 + 2 ** 2)
+    # f2 false: all 4 candidates; f2 true: the 2 with f0 true
+    assert len(model.relation["a"]) == 2048 * 4 + 2048 * 2
 
 
 def test_prune_fixpoint_keeps_everything_when_consistent():
